@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import bisect
+import typing
+from array import array
 
 
 class Link:
@@ -19,12 +21,13 @@ class Link:
     (contiguous windows collapse into one) from which
     :meth:`busy_within` computes the exact occupancy inside any
     ``[0, t)`` prefix — including windows that straddle or lie beyond
-    ``t``, which a bare busy-cycle counter would overcount.
+    ``t``, which a bare busy-cycle counter would overcount.  The record
+    is packed into ``array('q')`` columns (8 bytes per value, no boxed
+    ints), so a long run's links hold ~24 bytes per disjoint window.
     """
 
     __slots__ = ("source", "destination", "bytes_per_cycle", "next_free",
-                 "busy_cycles", "packets", "_window_starts", "_window_ends",
-                 "_window_cum")
+                 "packets", "_window_starts", "_window_ends", "_window_cum")
 
     def __init__(self, source: int, destination: int, bytes_per_cycle: int):
         if bytes_per_cycle < 1:
@@ -33,13 +36,18 @@ class Link:
         self.destination = destination
         self.bytes_per_cycle = bytes_per_cycle
         self.next_free = 0
-        self.busy_cycles = 0
         self.packets = 0
         #: merged occupancy windows (sorted, disjoint) plus cumulative
         #: busy cycles up to each window's end.
-        self._window_starts: list[int] = []
-        self._window_ends: list[int] = []
-        self._window_cum: list[int] = []
+        self._window_starts = array("q")
+        self._window_ends = array("q")
+        self._window_cum = array("q")
+
+    @property
+    def busy_cycles(self) -> int:
+        """Total cycles reserved on this link (granted in the future too)."""
+        cum = self._window_cum
+        return cum[-1] if cum else 0
 
     def serialization_cycles(self, nbytes: int) -> int:
         """Cycles to push ``nbytes`` through this link."""
@@ -53,34 +61,12 @@ class Link:
     def reserve(self, earliest: int, nbytes: int) -> tuple[int, int]:
         """Reserve the link for ``nbytes`` no earlier than ``earliest``.
 
-        Returns ``(start, end)`` of the granted occupancy window.  This
-        is the NoC's hottest call — every packet reserves every link on
-        its path — so it stays branch-light: one integer division, one
-        comparison against ``next_free``, and a constant-time extension
-        of the merged occupancy record in the common back-to-back case.
+        Returns ``(start, end)`` of the granted occupancy window: the
+        one-hop case of :func:`reserve_path`.
         """
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        duration = -(-nbytes // self.bytes_per_cycle)
-        if duration <= 0:
-            duration = 1
-        next_free = self.next_free
-        start = earliest if earliest > next_free else next_free
-        end = start + duration
-        self.next_free = end
-        self.busy_cycles += duration
-        self.packets += 1
-        ends = self._window_ends
-        if ends and ends[-1] == start:
-            # Back-to-back with the previous window: extend it.
-            ends[-1] = end
-            self._window_cum[-1] += duration
-        else:
-            cum = self._window_cum
-            self._window_starts.append(start)
-            ends.append(end)
-            cum.append((cum[-1] if cum else 0) + duration)
-        return start, end
+        duration = self.serialization_cycles(nbytes)
+        end = reserve_path((self,), earliest, 0, duration)
+        return end - duration, end
 
     def busy_within(self, elapsed: int) -> int:
         """Exact occupied cycles inside the window ``[0, elapsed)``."""
@@ -109,3 +95,41 @@ class Link:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Link {self.source}->{self.destination} free@{self.next_free}>"
+
+
+def reserve_path(links: typing.Sequence[Link], head: int, hop_cycles: int,
+                 duration: int) -> int:
+    """Reserve ``duration`` cycles on each link of a path, in order.
+
+    The packet's head reaches each link ``hop_cycles`` after it started
+    on the previous one (``head`` is when it left the source); a busy
+    link stalls it, and downstream hops stall behind that.  Returns the
+    cycle at which the tail clears the last link.
+
+    This is the NoC's only reservation rule and its hottest loop —
+    every packet runs it over every link on its path — so it stays
+    branch-light: two comparisons against ``next_free`` per hop and a
+    constant-time extension of the merged occupancy record in the
+    common back-to-back case.
+    """
+    end = head
+    for link in links:
+        next_free = link.next_free
+        start = head + hop_cycles
+        if start < next_free:
+            start = next_free
+        end = start + duration
+        if start == next_free and next_free:
+            # Back-to-back with the last window, which ends at
+            # next_free (0 only before the first window): extend it.
+            link._window_ends[-1] = end
+            link._window_cum[-1] += duration
+        else:
+            cum = link._window_cum
+            link._window_starts.append(start)
+            link._window_ends.append(end)
+            cum.append(cum[-1] + duration if cum else duration)
+        link.next_free = end
+        link.packets += 1
+        head = start  # downstream hops stall behind contention
+    return end

@@ -5,6 +5,10 @@ hop latency; the body streams behind it at link bandwidth.  Each link
 on the XY path is reserved for the packet's serialisation time, so two
 packets crossing the same link queue behind each other.  Delivery
 completes when the tail clears the last link.
+
+Each (source, destination) route is compiled once into a tuple of
+:class:`~repro.noc.link.Link` objects, and a packet reserves its whole
+path in one pass of :func:`~repro.noc.link.reserve_path`.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import typing
 
 from repro import params
-from repro.noc.link import Link
+from repro.noc.link import Link, reserve_path
 from repro.noc.packet import Packet
 from repro.noc.routing import XYRouter
 from repro.noc.topology import MeshTopology
@@ -52,6 +56,9 @@ class Network:
         # transfers queue, count, and report like any other traffic.
         for node in range(topology.node_count):
             self._links[(node, node)] = Link(node, node, bytes_per_cycle)
+        #: compiled routes: (source, destination) -> the Links in path
+        #: order (see :meth:`route`).
+        self._routes: dict[tuple[int, int], tuple[Link, ...]] = {}
         self._handlers: dict[int, DeliveryHandler] = {}
         #: injection-side counters: every packet handed to the NoC.
         self.packets_injected = 0
@@ -108,39 +115,43 @@ class Network:
 
     # -- timing model ----------------------------------------------------------
 
+    def route(self, source: int, destination: int) -> tuple[Link, ...]:
+        """The links a packet from ``source`` to ``destination`` reserves.
+
+        Compiled once per pair from the router's path; a self-send is
+        the node's own loopback link, so self-traffic queues, counts
+        and reports like any other traffic.
+        """
+        key = (source, destination)
+        links = self._routes.get(key)
+        if links is None:
+            if source == destination:
+                links = (self._links[key],)
+            else:
+                links = tuple(self._links[hop] for hop in
+                              self.router.links_on_path(source, destination))
+            self._routes[key] = links
+        return links
+
     def delivery_time(self, packet: Packet) -> int:
         """Reserve the path now; return the absolute completion cycle."""
-        wire_bytes = packet.size_bytes + PACKET_HEADER_BYTES
-        now = self.sim.now
-        if packet.source == packet.destination:
-            # Local loopback through the node's own router: a real link,
-            # so self-traffic queues and shows up in per-link stats.
-            _start, end = self._links[(packet.source, packet.source)].reserve(
-                now + self.hop_cycles, wire_bytes
-            )
-            return end
-        head_arrival = now
-        completion = now
-        links = self._links
-        hop_cycles = self.hop_cycles
-        for hop in self.router.links_on_path(packet.source, packet.destination):
-            start, end = links[hop].reserve(head_arrival + hop_cycles, wire_bytes)
-            head_arrival = start  # downstream hops stall behind contention
-            completion = end
-        return completion
+        links = self.route(packet.source, packet.destination)
+        duration = -(-(packet.size_bytes + PACKET_HEADER_BYTES)
+                     // self.bytes_per_cycle)
+        return reserve_path(links, self.sim.now, self.hop_cycles, duration)
 
     # -- sending ----------------------------------------------------------------
 
     def send(self, packet: Packet) -> int:
         """Inject ``packet``; schedule delivery; return the completion cycle."""
-        completion = self.delivery_time(packet)
-        self.packets_injected += 1
-        self.bytes_injected += packet.size_bytes
         handler = self._handlers.get(packet.destination)
         if handler is None:
             raise RuntimeError(
                 f"packet to node {packet.destination} but nothing is attached there"
             )
+        completion = self.delivery_time(packet)
+        self.packets_injected += 1
+        self.bytes_injected += packet.size_bytes
         verdict = "deliver"
         if self.fault_plan is not None:
             # The fault verdict comes first: delivered-traffic counters
@@ -219,11 +230,7 @@ class Network:
     def _uncontended_completion(self, packet: Packet, now: int) -> int:
         """When the packet would complete on an idle path (no queueing)."""
         wire_bytes = packet.size_bytes + PACKET_HEADER_BYTES
-        if packet.source == packet.destination:
-            hops = 1
-        else:
-            hops = len(self.router.links_on_path(packet.source,
-                                                 packet.destination))
+        hops = len(self.route(packet.source, packet.destination))
         serialization = -(-wire_bytes // self.bytes_per_cycle)
         return now + hops * self.hop_cycles + max(serialization, 1)
 

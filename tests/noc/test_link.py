@@ -106,3 +106,25 @@ def test_busy_within_merges_contiguous_windows():
     assert link.busy_within(22) == 12
     assert link.busy_within(30) == 15
     assert link.busy_cycles == 15
+
+
+def test_occupancy_record_is_packed():
+    # Deterministic memory gate: every window is disjoint from the last
+    # (nothing merges), so the record holds one entry per reservation.
+    # Boxed ints in lists cost ~105 bytes per window; the packed
+    # columns must stay within 40 bytes however long a run gets.
+    import tracemalloc
+
+    windows = 100_000
+    link = Link(0, 1, bytes_per_cycle=8)
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        for i in range(windows):
+            link.reserve(2 * i, 8)  # [2i, 2i + 1): a one-cycle gap each
+        after, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert link.packets == windows and link.busy_cycles == windows
+    assert link.busy_within(2 * windows) == windows
+    assert (after - before) / windows <= 40

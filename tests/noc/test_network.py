@@ -65,8 +65,15 @@ def test_disjoint_paths_do_not_interfere():
 
 def test_send_without_handler_raises():
     sim, net = _network()
+    path = net.router.links_on_path(0, 5)
     with pytest.raises(RuntimeError):
         net.send(Packet(0, 5, "message", 8))
+    # The rejected packet must leave no trace: no link reserved, no
+    # injection counted.
+    for hop in path:
+        link = net.link(*hop)
+        assert (link.next_free, link.packets, link.busy_cycles) == (0, 0, 0)
+    assert (net.packets_injected, net.bytes_injected) == (0, 0)
 
 
 def test_double_attach_rejected():

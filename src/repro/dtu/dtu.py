@@ -20,13 +20,13 @@ from repro.dtu.message import (
     HEADER_BYTES,
     Message,
     MessageHeader,
-    message_crc,
     payload_crc,
 )
 from repro.dtu.registers import EndpointKind, EndpointRegisters, MemoryPerm
 from repro.dtu.ringbuffer import DUPLICATE, RingBuffer
 from repro.noc.packet import Packet
 from repro.obs.causal import NO_CONTEXT
+from repro.sim.events import Event, first_of
 from repro.sim.ledger import Tag
 from repro.sim.resources import Signal
 
@@ -34,7 +34,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hw.spm import Scratchpad
     from repro.noc.network import Network
     from repro.sim import Simulator
-    from repro.sim.events import Event
 
 #: Cycles for the DTU to serve a request against the local SPM.
 SPM_ACCESS_CYCLES = 2
@@ -59,6 +58,18 @@ class TransferTimeout(DtuError):
     """A reliable transfer stayed unacknowledged through the whole
     retransmit budget (dead receiver, partitioned NoC), or a
     ``wait_message`` timeout expired."""
+
+
+class _Unacked:
+    """A reliable transmission awaiting its ack (or response)."""
+
+    __slots__ = ("packet", "attempts", "done", "give_up")
+
+    def __init__(self, packet: Packet, done: Event, give_up):
+        self.packet = packet
+        self.attempts = 1
+        self.done = done
+        self.give_up = give_up
 
 
 class DTU:
@@ -93,6 +104,8 @@ class DTU:
         #: outstanding memory/config transactions awaiting a response.
         self._pending: dict[int, "Event"] = {}
         self._transaction_ids = itertools.count()
+        #: name of every delivery-complete event this DTU returns.
+        self._delivery_name = f"dtu{node}.delivery"
         #: "all DTUs are privileged at boot" (Section 3); the kernel
         #: downgrades application PEs during boot.
         self.privileged = True
@@ -103,7 +116,7 @@ class DTU:
         self._send_seq = itertools.count()
         #: unacknowledged reliable transmissions, keyed ("msg", seq) for
         #: messages/replies and ("txn", id) for memory/config requests.
-        self._retx: dict[tuple, dict] = {}
+        self._retx: dict[tuple, _Unacked] = {}
         self.retransmits = 0
         self.acks_sent = 0
         self.crc_drops = 0
@@ -193,33 +206,25 @@ class DTU:
             if reply_regs.kind != EndpointKind.RECEIVE:
                 raise NoPermission(f"reply EP{reply_ep} is not a receive endpoint")
         ep.credits -= 1
-        seq, crc = -1, 0
         if self._reliable:
             seq = next(self._send_seq)
             crc = payload_crc(ep.label, length, payload)
+        else:
+            seq, crc = -1, 0
         ctx, msg_span = self._stamp_context()
-        header = MessageHeader(
-            label=ep.label,
-            length=length,
-            reply_node=self.node if reply_ep is not None else -1,
-            reply_ep=reply_ep if reply_ep is not None else -1,
-            reply_label=reply_label,
-            credit_ep=ep_index,
-            seq=seq,
-            crc=crc,
-            trace_id=ctx.trace_id,
-            parent_span=msg_span,
+        trace_id = ctx.trace_id
+        node = self.node
+        if reply_ep is None:
+            reply_node = reply_ep = -1
+        else:
+            reply_node = node
+        message = Message(
+            MessageHeader(ep.label, length, reply_node, reply_ep, reply_label,
+                          ep_index, seq, crc, trace_id, msg_span),
+            payload,
         )
-        message = Message(header, payload)
-        packet = Packet(
-            source=self.node,
-            destination=ep.target_node,
-            kind="message",
-            size_bytes=message.size_bytes(),
-            payload=(ep.target_ep, message),
-            trace_id=ctx.trace_id,
-            trace_parent=msg_span,
-        )
+        packet = Packet(node, ep.target_node, "message", HEADER_BYTES + length,
+                        (ep.target_ep, message), False, trace_id, msg_span)
         self.messages_sent += 1
         if not self._reliable:
             done = self._inject(packet)
@@ -271,28 +276,26 @@ class DTU:
         if not ep.replies_enabled:
             raise NoPermission(f"EP{ep_index} has replies disabled")
         ringbuf = self._ringbufs[ep_index]
-        original = ringbuf.peek(slot)
-        if not original.can_reply:
+        original = ringbuf.peek(slot).header
+        if original.reply_node < 0:
             raise NoPermission("original message does not permit a reply")
-        seq, crc = -1, 0
+        label = original.reply_label
         if self._reliable:
             seq = next(self._send_seq)
-            crc = payload_crc(original.header.reply_label, length, payload)
+            crc = payload_crc(label, length, payload)
+        else:
+            seq, crc = -1, 0
         ctx, msg_span = self._stamp_context()
-        header = MessageHeader(
-            label=original.header.reply_label, length=length, seq=seq,
-            crc=crc, trace_id=ctx.trace_id, parent_span=msg_span,
+        trace_id = ctx.trace_id
+        message = Message(
+            MessageHeader(label, length, -1, -1, 0, -1, seq, crc, trace_id,
+                          msg_span),
+            payload,
         )
-        message = Message(header, payload)
-        packet = Packet(
-            source=self.node,
-            destination=original.header.reply_node,
-            kind="reply",
-            size_bytes=message.size_bytes(),
-            payload=(original.header.reply_ep, message, original.header.credit_ep),
-            trace_id=ctx.trace_id,
-            trace_parent=msg_span,
-        )
+        packet = Packet(self.node, original.reply_node, "reply",
+                        HEADER_BYTES + length,
+                        (original.reply_ep, message, original.credit_ep),
+                        False, trace_id, msg_span)
         ringbuf.ack(slot)
         if not self._reliable:
             done = self._inject(packet)
@@ -331,7 +334,12 @@ class DTU:
 
     def fetch_message(self, ep_index: int) -> tuple[int, Message] | None:
         """Poll a receive endpoint: the next unread (slot, message) or None."""
-        return self.ringbuffer(ep_index).fetch()
+        # Only receive endpoints have a ringbuffer, so a hit needs no
+        # further check; a miss raises the validating accessor's error.
+        ringbuf = self._ringbufs.get(ep_index)
+        if ringbuf is None:
+            ringbuf = self.ringbuffer(ep_index)
+        return ringbuf.fetch()
 
     def wait_message(self, ep_index: int, timeout: int | None = None):
         """Generator: block until a message is available, then return it.
@@ -348,11 +356,17 @@ class DTU:
             raise ValueError(f"timeout must be positive, got {timeout}")
         deadline = None if timeout is None else self.sim.now + timeout
         while True:
-            fetched = self.fetch_message(ep_index)
+            # As in fetch_message: a ringbuffer implies a receive
+            # endpoint, whose delivery signal then exists too.
+            ringbuf = self._ringbufs.get(ep_index)
+            if ringbuf is None:
+                ringbuf = self.ringbuffer(ep_index)
+            fetched = ringbuf.fetch()
             if fetched is not None:
                 return fetched
+            signal = self._signals[ep_index]
             if deadline is None:
-                yield self.signal(ep_index).wait()
+                yield signal.wait()
                 continue
             remaining = deadline - self.sim.now
             if remaining <= 0:
@@ -360,13 +374,7 @@ class DTU:
                     f"no message on EP{ep_index} of node {self.node} "
                     f"within {timeout} cycles"
                 )
-            from repro.sim.events import first_of
-
-            yield first_of(
-                self.sim,
-                self.signal(ep_index).wait(),
-                self.sim.delay(remaining),
-            )
+            yield first_of(self.sim, signal.wait(), self.sim.delay(remaining))
 
     def ack_message(self, ep_index: int, slot: int) -> None:
         """Free a ringbuffer slot after processing (no reply sent)."""
@@ -633,15 +641,9 @@ class DTU:
             if self.sim.obs is not None:
                 self.sim.obs.count("dtu.redirected")
             self.network.send(
-                Packet(
-                    source=packet.source,
-                    destination=self.redirect_to,
-                    kind=packet.kind,
-                    size_bytes=packet.size_bytes,
-                    payload=packet.payload,
-                    trace_id=packet.trace_id,
-                    trace_parent=packet.trace_parent,
-                )
+                Packet(packet.source, self.redirect_to, packet.kind,
+                       packet.size_bytes, packet.payload, False,
+                       packet.trace_id, packet.trace_parent)
             )
             return
         if packet.kind == "message":
@@ -655,8 +657,8 @@ class DTU:
         elif packet.kind == "msg_ack":
             (seq,) = packet.payload
             entry = self._retx.pop(("msg", seq), None)
-            if entry is not None and not entry["done"].triggered:
-                entry["done"].succeed()
+            if entry is not None and not entry.done.triggered:
+                entry.done.succeed()
         elif packet.kind == "mem_read":
             transaction, address, length = packet.payload
             data = self.local_memory.read(address, length)
@@ -736,15 +738,17 @@ class DTU:
         if ep is None or ep.kind != EndpointKind.RECEIVE:
             self.messages_dropped += 1
             return
-        if message.header.crc != message_crc(message):
+        header = message.header
+        if header.crc != payload_crc(header.label, header.length,
+                                     message.payload):
             self.crc_drops += 1
             self.messages_dropped += 1
             return
-        slot = self._ringbufs[ep_index].push(message, source=source)
+        slot = self._ringbufs[ep_index].push(message, source)
         if slot is DUPLICATE:
             # Already delivered once: the earlier ack was lost. Re-ack
             # without repeating the delivery side effects.
-            self._send_ack(source, message.header.seq)
+            self._send_ack(source, header.seq)
             return
         if slot is None:
             self.messages_dropped += 1  # ring full: flow-control drop
@@ -754,7 +758,7 @@ class DTU:
             if sender_ep.kind == EndpointKind.SEND:
                 sender_ep.credits = min(sender_ep.credits + 1,
                                         sender_ep.max_credits)
-        self._send_ack(source, message.header.seq)
+        self._send_ack(source, header.seq)
         self._signals[ep_index].fire()
 
     def _send_ack(self, destination: int, seq: int) -> None:
@@ -763,15 +767,7 @@ class DTU:
         self.acks_sent += 1
         if self.sim.obs is not None:
             self.sim.obs.count("dtu.acks_sent")
-        self.network.send(
-            Packet(
-                source=self.node,
-                destination=destination,
-                kind="msg_ack",
-                size_bytes=8,
-                payload=(seq,),
-            )
-        )
+        self.network.send(Packet(self.node, destination, "msg_ack", 8, (seq,)))
 
     def _respond_memory(self, requester: int, transaction: int, data: bytes,
                         size: int, request: Packet | None = None) -> None:
@@ -806,32 +802,33 @@ class DTU:
         with :class:`TransferTimeout` after the retransmit budget), and
         the packet is re-sent with exponential backoff until then.
         """
-        done = self.sim.event(f"dtu{self.node}.delivery")
+        done = Event(self.sim, self._delivery_name)
         if charge:
             self.sim.ledger.charge(Tag.XFER, params.DTU_INJECT_CYCLES)
-
-        def inject(_):
-            completion = self.network.send(packet)
-            wire = completion - self.sim.now
-            if charge:
-                self.sim.ledger.charge(Tag.XFER, wire)
-            if retx_key is None:
-                self.sim.schedule(wire, lambda _: done.succeed())
-            else:
-                self._retx[retx_key] = {
-                    "packet": packet,
-                    "attempts": 1,
-                    "done": done,
-                    "give_up": on_give_up,
-                }
-                # The expected response's own serialisation time counts
-                # toward the round trip the timer must not undercut.
-                response_wire = -(-expect_bytes // self.network.bytes_per_cycle)
-                self._arm_retx(retx_key, completion + response_wire,
-                               params.DTU_RETX_TIMEOUT_CYCLES)
-
-        self.sim.schedule(params.DTU_INJECT_CYCLES, inject)
+        self.sim.schedule(
+            params.DTU_INJECT_CYCLES, self._launch,
+            (packet, done, charge, retx_key, on_give_up, expect_bytes),
+        )
         return done
+
+    def _launch(self, transfer: tuple) -> None:
+        """End of the injection delay: put the packet on the NoC and
+        either complete the transfer at delivery or arm its retransmit
+        timer."""
+        packet, done, charge, retx_key, on_give_up, expect_bytes = transfer
+        completion = self.network.send(packet)
+        wire = completion - self.sim.now
+        if charge:
+            self.sim.ledger.charge(Tag.XFER, wire)
+        if retx_key is None:
+            self.sim.schedule(wire, done.succeed)
+            return
+        self._retx[retx_key] = _Unacked(packet, done, on_give_up)
+        # The expected response's own serialisation time counts toward
+        # the round trip the timer must not undercut.
+        response_wire = -(-expect_bytes // self.network.bytes_per_cycle)
+        self._arm_retx(retx_key, completion + response_wire,
+                       params.DTU_RETX_TIMEOUT_CYCLES)
 
     def _arm_retx(self, key: tuple, eta: int, grace: int) -> None:
         """Schedule the retransmit timer for an unacknowledged transfer.
@@ -841,43 +838,43 @@ class DTU:
         time alone exceeds any flat timeout) is never retransmitted
         while it is still legitimately in flight.  ``grace`` covers the
         receiver's turnaround plus the ack's way back and grows by
-        :data:`params.DTU_RETX_BACKOFF` per attempt.
+        :data:`params.DTU_RETX_BACKOFF` per attempt.  The timer of an
+        acknowledged transfer still fires, as a no-op.
         """
+        self.sim.schedule(max(1, eta - self.sim.now) + grace,
+                          self._retx_timeout, (key, grace))
 
-        def fire(_):
-            entry = self._retx.get(key)
-            if entry is None:
-                return  # acked (or wiped) in the meantime
-            if entry["attempts"] > params.DTU_RETX_MAX:
-                del self._retx[key]
-                if entry["give_up"] is not None:
-                    entry["give_up"]()
-                if not entry["done"].triggered:
-                    packet = entry["packet"]
-                    entry["done"].fail(
-                        TransferTimeout(
-                            f"node {self.node}: {packet.kind} to node "
-                            f"{packet.destination} unacknowledged after "
-                            f"{params.DTU_RETX_MAX} retransmits"
-                        )
+    def _retx_timeout(self, timer: tuple) -> None:
+        """Retransmit timer expiry: re-send, or give up once the budget
+        is spent."""
+        key, grace = timer
+        entry = self._retx.get(key)
+        if entry is None:
+            return  # acked (or wiped) in the meantime
+        packet = entry.packet
+        if entry.attempts > params.DTU_RETX_MAX:
+            del self._retx[key]
+            if entry.give_up is not None:
+                entry.give_up()
+            if not entry.done.triggered:
+                entry.done.fail(
+                    TransferTimeout(
+                        f"node {self.node}: {packet.kind} to node "
+                        f"{packet.destination} unacknowledged after "
+                        f"{params.DTU_RETX_MAX} retransmits"
                     )
-                return
-            entry["attempts"] += 1
-            self.retransmits += 1
-            if self.sim.obs is not None:
-                self.sim.obs.count("dtu.retransmits")
-                self.sim.obs.instant(
-                    "retransmit", "dtu", self.node,
-                    kind=entry["packet"].kind,
-                    destination=entry["packet"].destination,
-                    attempt=entry["attempts"],
                 )
-            completion = self.network.send(entry["packet"])
-            self._arm_retx(key, completion,
-                           int(grace * params.DTU_RETX_BACKOFF))
-
-        self.sim.schedule(max(1, eta - self.sim.now) + grace, fire)
-
+            return
+        entry.attempts += 1
+        self.retransmits += 1
+        if self.sim.obs is not None:
+            self.sim.obs.count("dtu.retransmits")
+            self.sim.obs.instant(
+                "retransmit", "dtu", self.node, kind=packet.kind,
+                destination=packet.destination, attempt=entry.attempts,
+            )
+        completion = self.network.send(packet)
+        self._arm_retx(key, completion, int(grace * params.DTU_RETX_BACKOFF))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "privileged" if self.privileged else "unprivileged"

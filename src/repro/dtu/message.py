@@ -4,11 +4,17 @@
 automatically prepended to the payload by the DTU and contains a label,
 the length of the message, and information for a potential reply"
 (Section 4.4.2).
+
+Headers and messages are immutable named tuples: the DTU builds one of
+each per message and reply, so they must be cheap to make, and nothing
+may rewrite them in flight.  The one place a stored header is
+rewritten (the kernel retargeting a parked syscall's reply information
+to a migrated VPE) swaps in a new tuple via ``_replace``.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import typing
 import zlib
 
 #: Wire size of the header the DTU prepends (label, length, reply info).
@@ -18,8 +24,7 @@ import zlib
 HEADER_BYTES = 16
 
 
-@dataclasses.dataclass(frozen=True)
-class MessageHeader:
+class MessageHeader(typing.NamedTuple):
     """DTU-generated metadata prepended to every message."""
 
     #: receiver-chosen sender identification (unforgeable; Section 4.4.2).
@@ -36,7 +41,8 @@ class MessageHeader:
     #: reliable-delivery sequence number, unique per sending DTU;
     #: ``seq < 0`` marks a best-effort message (no ack, no retransmit).
     seq: int = -1
-    #: CRC over (label, length, payload); 0 on best-effort messages.
+    #: payload digest over (label, length, payload), see
+    #: :func:`payload_crc`; 0 on best-effort messages.
     crc: int = 0
     #: causal trace context, stamped by the sending DTU when an
     #: Observer is installed.  Like seq/CRC these ride the padding of
@@ -48,8 +54,7 @@ class MessageHeader:
     parent_span: int = -1
 
 
-@dataclasses.dataclass(frozen=True)
-class Message:
+class Message(typing.NamedTuple):
     """A delivered message sitting in a ringbuffer slot."""
 
     header: MessageHeader
@@ -69,15 +74,22 @@ class Message:
 
 
 def payload_crc(label: int, length: int, payload: object) -> int:
-    """CRC the DTU stamps on (and checks against) a reliable message.
+    """Digest the DTU stamps on (and checks against) a reliable message.
 
-    Computed over the stable repr of the header-identifying fields and
-    the payload; never 0, so ``crc == 0`` always means "unchecked".
+    Reliable payloads that hash are built from immutable values
+    (``str``, ``int``, ``bytes``, ``None``, ``bool``, functions), so
+    they cannot change in flight and their hash is a sufficient digest.
+    An unhashable payload holds something mutable (a list, a mutable
+    dataclass); it falls back to a CRC32 over its repr, which sees any
+    change of the values it shows.  Never 0, so ``crc == 0`` always
+    means "unchecked".
+
+    ``str`` and ``bytes`` hashes are salted per interpreter, so the
+    value is process-local: it is compared within one run and never
+    written to any output.
     """
-    return zlib.crc32(repr((label, length, payload)).encode()) or 1
+    try:
+        return hash((label, length, payload)) or 1
+    except TypeError:
+        return zlib.crc32(repr((label, length, payload)).encode()) or 1
 
-
-def message_crc(message: Message) -> int:
-    """The expected CRC of a delivered message."""
-    return payload_crc(message.header.label, message.header.length,
-                       message.payload)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import collections
 
 from repro import params
-from repro.dtu.message import Message
+from repro.dtu.message import HEADER_BYTES, Message
 
 #: sentinel returned by :meth:`RingBuffer.push` for a suppressed
 #: duplicate: the message was already delivered once, so the receiver
@@ -53,10 +53,6 @@ class RingBuffer:
         """
         return self._occupied
 
-    @property
-    def full(self) -> bool:
-        return self._slots[self._write_pos] is not None
-
     def push(self, message: Message, source: int = -1):
         """Store a delivered message.
 
@@ -65,21 +61,22 @@ class RingBuffer:
         message (``header.seq >= 0``) from ``source`` was already
         accepted — the caller re-acks without delivering twice.
         """
-        if message.size_bytes() > self.slot_size:
+        header = message.header
+        if HEADER_BYTES + header.length > self.slot_size:
             # The sender's DTU enforces the size limit; this guards against
             # misconfiguration.  Slot size counts header plus payload.
             raise ValueError(
                 f"message of {message.size_bytes()}B exceeds slot of "
                 f"{self.slot_size}B"
             )
-        seq = message.header.seq
+        seq = header.seq
         if seq >= 0 and (source, seq) in self._seen:
             self.duplicates += 1
             return DUPLICATE
-        if self.full:
+        slot = self._write_pos
+        if self._slots[slot] is not None:  # ring full
             self.dropped += 1
             return None
-        slot = self._write_pos
         self._slots[slot] = message
         self._write_pos = (slot + 1) % self.slot_count
         self._occupied += 1

@@ -1069,16 +1069,15 @@ class Kernel:
         self.dtu.reply(KERNEL_SYSCALL_EP, slot, payload, SYSCALL_MSG_BYTES)
 
     def _retarget_parked_message(self, vpe: VpeObject, slot: int) -> None:
-        import dataclasses
-
+        # The only place a stored header is rewritten: headers are
+        # immutable, so the slot gets a copy with the new reply target.
         ring = self.dtu.ringbuffer(KERNEL_SYSCALL_EP)
         message = ring.peek(slot)
         if message.header.reply_node == vpe.node:
             return
-        header = dataclasses.replace(
-            message.header, reply_node=vpe.node, reply_ep=APP_REPLY_EP
-        )
-        ring._slots[slot] = dataclasses.replace(message, header=header)
+        header = message.header._replace(reply_node=vpe.node,
+                                         reply_ep=APP_REPLY_EP)
+        ring._slots[slot] = message._replace(header=header)
 
     # ------------------------------------------------------------------
     # Syscall handlers.  Each is a generator taking (vpe, slot, *args).

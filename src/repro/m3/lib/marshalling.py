@@ -12,6 +12,27 @@ from __future__ import annotations
 
 def wire_size(value: object) -> int:
     """Bytes a value occupies in a message (8-byte aligned fields)."""
+    # Exact-type dispatch for the types real payloads are made of; every
+    # other value (subclasses, bytearray, dict, callables...) takes the
+    # isinstance chain, which gives the same answer for these too.
+    kind = type(value)
+    if kind is tuple or kind is list:
+        size = 8
+        for item in value:
+            size += wire_size(item)
+        return size
+    if kind is str:
+        if not value.isascii():
+            value = value.encode("utf-8")
+        return 8 + _align8(len(value))
+    if kind is int or value is None or kind is bool or kind is float:
+        return 8
+    if kind is bytes:
+        return 8 + _align8(len(value))
+    return _wire_size_general(value)
+
+
+def _wire_size_general(value: object) -> int:
     if value is None:
         return 8
     if isinstance(value, bool):

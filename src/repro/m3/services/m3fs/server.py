@@ -16,6 +16,7 @@ from repro import params
 from repro.dtu.registers import MemoryPerm
 from repro.m3.kernel import syscalls
 from repro.m3.lib.gate import MemGate, RecvGate
+from repro.m3.lib.marshalling import wire_size
 from repro.m3.services.m3fs.fs import FsError, M3FS
 from repro.m3.services.m3fs.superblock import SuperBlock
 from repro.obs.causal import header_context
@@ -24,7 +25,8 @@ from repro.obs.causal import header_context
 #: message slot size, as on real hardware).
 LOCS_PER_REPLY = 8
 
-#: service request/reply geometry.
+#: service request/reply geometry: the payload bytes of one request
+#: slot here and of the client's reply slot.
 FS_MSG_BYTES = 496
 FS_RING_SLOTS = 64
 
@@ -134,7 +136,15 @@ class M3fsServer:
                         response = ("ok", result)
                     except (FsError, AttributeError, TypeError, MemoryError) as exc:
                         response = ("err", str(exc))
-            yield from rgate.reply(slot, response)
+            size = wire_size(response)
+            if size > FS_MSG_BYTES:
+                # The client's reply slot holds FS_MSG_BYTES of payload
+                # (the bound LOCS_PER_REPLY keeps to); a reply that does
+                # not fit is answered with an error the client raises.
+                response = ("err", f"{operation} reply of {size}B exceeds "
+                                   f"the {FS_MSG_BYTES}B reply payload")
+                size = wire_size(response)
+            yield from rgate.reply(slot, response, size)
             if obs is not None:
                 obs.count(f"m3fs.{self.service_name}.requests")
                 obs.observe("m3fs.request_cycles", env.sim.now - started)

@@ -264,7 +264,9 @@ class Simulator:
                             continue
                         entry[-2] = None
                         callback(entry[-1])
-                        if until_event.triggered:
+                        # ``_state`` is non-zero once triggered; read
+                        # directly, as this runs once per callback.
+                        if until_event._state:
                             return
                 continue
             while heap and heap[0][2] is None:

@@ -21,6 +21,9 @@ from repro.sim.events import Event, Interrupt
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
 
+#: read directly on the wake path, which runs once per resumption.
+_SUCCEEDED = Event._SUCCEEDED
+
 
 class Process:
     """A running activity driven by a generator."""
@@ -46,10 +49,10 @@ class Process:
 
     def _wake(self, event: Event) -> None:
         self._waiting_on = None
-        if event.ok:
-            self._advance(self.generator.send, event.value)
+        if event._state == _SUCCEEDED:
+            self._advance(self.generator.send, event._value)
         else:
-            self._advance(self.generator.throw, event.value)
+            self._advance(self.generator.throw, event._value)
 
     def _advance(self, resume, value) -> None:
         """Resume the generator (``resume`` is its ``send`` or ``throw``)

@@ -4,6 +4,7 @@ import pytest
 
 from repro import params
 from repro.dtu.dtu import TransferTimeout
+from repro.dtu.message import Message, MessageHeader
 from repro.dtu.registers import EndpointRegisters
 from repro.faults import FaultPlan
 from repro.hw import Platform
@@ -104,6 +105,45 @@ def test_duplicate_reply_cannot_double_refill_credits(platform):
     assert receiver.retransmits >= 1  # the reply was re-sent
     # One send spent one credit; exactly one refill came back.
     assert sender.eps[0].credits == 4
+
+
+def test_payload_changed_in_flight_is_dropped_unacked(platform):
+    # The receiver recomputes the payload digest: a mutable payload the
+    # sender changes after sending fails the check and is not acked.
+    sender, receiver = _channel(platform)
+    payload = ["put", "key", 1]
+    sender.send(0, payload=payload, length=24)
+    payload[2] = 2
+    # Stop after the first delivery, before the retransmit timer fires.
+    platform.sim.run(until=params.DTU_RETX_TIMEOUT_CYCLES)
+    assert receiver.crc_drops == 1
+    assert receiver.ringbuffer(1).occupied == 0
+    assert receiver.fetch_message(1) is None
+    assert receiver.acks_sent == 0
+
+
+def test_unchanged_unhashable_payload_is_delivered_and_acked(platform):
+    sender, receiver = _channel(platform)
+    payload = ["put", "key", bytearray(b"value")]
+    done = sender.send(0, payload=payload, length=32)
+    platform.sim.run()
+    assert done.ok
+    assert receiver.crc_drops == 0
+    assert receiver.acks_sent == 1
+    _slot, message = receiver.fetch_message(1)
+    assert message.payload is payload
+
+
+def test_headers_and_messages_are_immutable():
+    header = MessageHeader(label=1, length=8, seq=3, crc=7)
+    message = Message(header, ("x",))
+    with pytest.raises(AttributeError):
+        header.crc = 0
+    with pytest.raises(AttributeError):
+        message.header = MessageHeader(label=1, length=8)
+    with pytest.raises(AttributeError):
+        message.payload = ("y",)
+    assert message.header.crc == 7 and message.payload == ("x",)
 
 
 def test_give_up_reconciles_credit_and_fails_transfer(platform):

@@ -1,5 +1,7 @@
 """Unit and property tests for message marshalling."""
 
+import enum
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -79,3 +81,88 @@ def test_wire_size_positive_and_aligned(value):
     size = wire_size(value)
     assert size >= 8
     assert size % 8 == 0
+
+
+def _reference_wire_size(value: object) -> int:
+    """The isinstance-chain ``wire_size`` the exact-type dispatch must
+    agree with (kept verbatim, recursing into itself)."""
+    if value is None:
+        return 8
+    if isinstance(value, bool):
+        return 8
+    if isinstance(value, int):
+        return 8
+    if isinstance(value, float):
+        return 8
+    if isinstance(value, str):
+        return 8 + _reference_align8(len(value.encode("utf-8")))
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return 8 + _reference_align8(len(value))
+    if isinstance(value, (tuple, list)):
+        return 8 + sum(_reference_wire_size(item) for item in value)
+    if isinstance(value, dict):
+        return 8 + sum(_reference_wire_size(k) + _reference_wire_size(v)
+                       for k, v in value.items())
+    if callable(value):
+        return 8
+    raise TypeError(f"cannot marshal value of type {type(value).__name__}")
+
+
+def _reference_align8(n: int) -> int:
+    return (n + 7) & ~7
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+    GREEN = 2
+
+
+class _Name(str):
+    pass
+
+
+class _Pair(tuple):
+    pass
+
+
+_leaves = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=20),
+    st.text(alphabet=st.characters(min_codepoint=128), max_size=8),
+    st.binary(max_size=30),
+    st.binary(max_size=30).map(bytearray),
+    st.binary(max_size=30).map(memoryview),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(_Colour),
+    st.text(max_size=10).map(_Name),
+    st.just(len),
+    st.just(object()),
+    st.just(1j),
+)
+
+_any_values = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=3).map(_Pair),
+        st.dictionaries(st.one_of(st.text(max_size=5), st.integers()),
+                        children, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+def _size_or_error(size_of, value):
+    try:
+        return size_of(value)
+    except TypeError as exc:
+        return ("TypeError", str(exc))
+
+
+@given(_any_values)
+def test_wire_size_matches_isinstance_chain(value):
+    assert (_size_or_error(wire_size, value)
+            == _size_or_error(_reference_wire_size, value))

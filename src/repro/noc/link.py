@@ -6,6 +6,13 @@ import bisect
 import typing
 from array import array
 
+#: Bits of a record word that hold a window's duration; the start
+#: cycle sits above them.
+DURATION_BITS = 24
+#: Longest duration one record word holds; longer windows are stored
+#: as consecutive chunks of at most this many cycles.
+DURATION_MASK = (1 << DURATION_BITS) - 1
+
 
 class Link:
     """One directed channel between adjacent routers.
@@ -17,17 +24,20 @@ class Link:
     contention without simulating individual flits.
 
     Occupancy windows are granted in non-decreasing order and never
-    overlap, so the link keeps a compact merged-interval record
-    (contiguous windows collapse into one) from which
-    :meth:`busy_within` computes the exact occupancy inside any
-    ``[0, t)`` prefix — including windows that straddle or lie beyond
-    ``t``, which a bare busy-cycle counter would overcount.  The record
-    is packed into ``array('q')`` columns (8 bytes per value, no boxed
-    ints), so a long run's links hold ~24 bytes per disjoint window.
+    overlap, so the link keeps them as one packed word each,
+    ``start << DURATION_BITS | duration``, in an ``array('q')`` (8
+    bytes per window; a duration past :data:`DURATION_MASK` goes in
+    as consecutive chunks).  Words sort by start cycle, so
+    :meth:`busy_within` finds the windows that began before ``t`` with
+    one bisection and computes the exact occupancy inside ``[0, t)``
+    — including a window that straddles ``t``, which a bare busy-cycle
+    counter would overcount.  The prefix sums of the durations it
+    reads are built lazily, on the first read after new windows, so
+    only readers pay for them.  Start cycles must stay below 2**39.
     """
 
     __slots__ = ("source", "destination", "bytes_per_cycle", "next_free",
-                 "packets", "_window_starts", "_window_ends", "_window_cum")
+                 "_chunks", "_record", "_sums")
 
     def __init__(self, source: int, destination: int, bytes_per_cycle: int):
         if bytes_per_cycle < 1:
@@ -36,18 +46,35 @@ class Link:
         self.destination = destination
         self.bytes_per_cycle = bytes_per_cycle
         self.next_free = 0
-        self.packets = 0
-        #: merged occupancy windows (sorted, disjoint) plus cumulative
-        #: busy cycles up to each window's end.
-        self._window_starts = array("q")
-        self._window_ends = array("q")
-        self._window_cum = array("q")
+        #: one packed word per occupancy window, in start order.
+        self._record = array("q")
+        #: record words beyond the first of chunked windows.
+        self._chunks = 0
+        #: busy cycles before each window: ``_sums[i]`` covers
+        #: ``_record[:i]``; extended by :meth:`_prefix_sums`.
+        self._sums = array("q", (0,))
+
+    def _prefix_sums(self) -> array:
+        """The duration prefix sums, extended over any new windows."""
+        sums, record = self._sums, self._record
+        known = len(sums) - 1
+        if known < len(record):
+            total = sums[-1]
+            append = sums.append
+            for word in record[known:]:
+                total += word & DURATION_MASK
+                append(total)
+        return sums
+
+    @property
+    def packets(self) -> int:
+        """Reservations granted on this link."""
+        return len(self._record) - self._chunks
 
     @property
     def busy_cycles(self) -> int:
         """Total cycles reserved on this link (granted in the future too)."""
-        cum = self._window_cum
-        return cum[-1] if cum else 0
+        return self._prefix_sums()[-1]
 
     def serialization_cycles(self, nbytes: int) -> int:
         """Cycles to push ``nbytes`` through this link."""
@@ -72,14 +99,17 @@ class Link:
         """Exact occupied cycles inside the window ``[0, elapsed)``."""
         if elapsed <= 0:
             return 0
-        # Windows whose end is <= elapsed count fully...
-        index = bisect.bisect_right(self._window_ends, elapsed)
-        busy = self._window_cum[index - 1] if index else 0
-        # ...plus the in-window prefix of a straddling reservation.
-        if (index < len(self._window_starts)
-                and self._window_starts[index] < elapsed):
-            busy += elapsed - self._window_starts[index]
-        return busy
+        # Windows before ``index`` started before ``elapsed``; only the
+        # last of them can reach past it, since windows never overlap.
+        record = self._record
+        index = bisect.bisect_left(record, elapsed << DURATION_BITS)
+        if not index:
+            return 0
+        busy = self._prefix_sums()[index]
+        word = record[index - 1]
+        overshoot = ((word >> DURATION_BITS) + (word & DURATION_MASK)
+                     - elapsed)
+        return busy - overshoot if overshoot > 0 else busy
 
     def utilization(self, elapsed: int) -> float:
         """Exact fraction of ``[0, elapsed)`` this link was occupied.
@@ -107,29 +137,39 @@ def reserve_path(links: typing.Sequence[Link], head: int, hop_cycles: int,
     cycle at which the tail clears the last link.
 
     This is the NoC's only reservation rule and its hottest loop —
-    every packet runs it over every link on its path — so it stays
-    branch-light: two comparisons against ``next_free`` per hop and a
-    constant-time extension of the merged occupancy record in the
-    common back-to-back case.
+    every packet runs it over every link on its path — so a hop costs
+    one comparison against ``next_free`` and one packed append (the
+    record's length doubles as the reservation count).
     """
+    if duration > DURATION_MASK:
+        return _reserve_path_chunked(links, head, hop_cycles, duration)
     end = head
     for link in links:
-        next_free = link.next_free
         start = head + hop_cycles
+        next_free = link.next_free
         if start < next_free:
             start = next_free
-        end = start + duration
-        if start == next_free and next_free:
-            # Back-to-back with the last window, which ends at
-            # next_free (0 only before the first window): extend it.
-            link._window_ends[-1] = end
-            link._window_cum[-1] += duration
-        else:
-            cum = link._window_cum
-            link._window_starts.append(start)
-            link._window_ends.append(end)
-            cum.append(cum[-1] + duration if cum else duration)
-        link.next_free = end
-        link.packets += 1
+        link._record.append(start << DURATION_BITS | duration)
+        end = link.next_free = start + duration
         head = start  # downstream hops stall behind contention
+    return end
+
+
+def _reserve_path_chunked(links, head, hop_cycles, duration):
+    """:func:`reserve_path` for windows longer than one record word."""
+    end = head
+    for link in links:
+        start = head + hop_cycles
+        if start < link.next_free:
+            start = link.next_free
+        end = link.next_free = start + duration
+        record = link._record
+        chunk_start, left = start, duration
+        while left > DURATION_MASK:
+            record.append(chunk_start << DURATION_BITS | DURATION_MASK)
+            link._chunks += 1
+            chunk_start += DURATION_MASK
+            left -= DURATION_MASK
+        record.append(chunk_start << DURATION_BITS | left)
+        head = start
     return end

@@ -8,7 +8,9 @@ completes when the tail clears the last link.
 
 Each (source, destination) route is compiled once into a tuple of
 :class:`~repro.noc.link.Link` objects, and a packet reserves its whole
-path in one pass of :func:`~repro.noc.link.reserve_path`.
+path in one pass of :func:`~repro.noc.link.reserve_path`.  ``send``
+looks up the route and the destination's handler together, with one
+dict lookup per packet.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ class Network:
         #: compiled routes: (source, destination) -> the Links in path
         #: order (see :meth:`route`).
         self._routes: dict[tuple[int, int], tuple[Link, ...]] = {}
+        #: compiled sends: (source, destination) -> (route, handler),
+        #: for destinations that have a handler (see :meth:`send`).
+        self._paths: dict[tuple[int, int],
+                          tuple[tuple[Link, ...], DeliveryHandler]] = {}
         self._handlers: dict[int, DeliveryHandler] = {}
         #: injection-side counters: every packet handed to the NoC.
         self.packets_injected = 0
@@ -67,8 +73,6 @@ class Network:
         #: will reach) their handler — faults can make these lower.
         self.packets_sent = 0
         self.bytes_sent = 0
-        #: optional tracer (see :meth:`enable_tracing`).
-        self.tracer = None
         #: optional fault plan (see :mod:`repro.faults`); with None
         #: installed, delivery pays exactly one branch per packet.
         self.fault_plan = None
@@ -79,17 +83,6 @@ class Network:
         self.packets_lost = 0
         self.packets_corrupted = 0
         self.packets_delayed = 0
-
-    def enable_tracing(self, capacity: int | None = None) -> "object":
-        """Record every packet injection; returns the Tracer.
-
-        ``capacity`` bounds the record store with ring semantics (see
-        :class:`repro.sim.tracing.Tracer`).
-        """
-        from repro.sim.tracing import Tracer
-
-        self.tracer = Tracer(self.sim, enabled=True, capacity=capacity)
-        return self.tracer
 
     # -- attachment ----------------------------------------------------------
 
@@ -135,40 +128,53 @@ class Network:
 
     def delivery_time(self, packet: Packet) -> int:
         """Reserve the path now; return the absolute completion cycle."""
-        links = self.route(packet.source, packet.destination)
-        duration = -(-(packet.size_bytes + PACKET_HEADER_BYTES)
-                     // self.bytes_per_cycle)
-        return reserve_path(links, self.sim.now, self.hop_cycles, duration)
+        return reserve_path(
+            self.route(packet.source, packet.destination), self.sim.now,
+            self.hop_cycles, self._wire_cycles(packet.size_bytes))
+
+    def _wire_cycles(self, size_bytes: int) -> int:
+        """Serialisation cycles of a ``size_bytes`` payload plus header."""
+        return -(-(size_bytes + PACKET_HEADER_BYTES) // self.bytes_per_cycle)
 
     # -- sending ----------------------------------------------------------------
 
-    def send(self, packet: Packet) -> int:
-        """Inject ``packet``; schedule delivery; return the completion cycle."""
-        handler = self._handlers.get(packet.destination)
+    def _compile_send(self, key: tuple[int, int]):
+        """``(route, handler)`` for a send along ``key``; raises, and
+        caches nothing, while the destination has no handler."""
+        handler = self._handlers.get(key[1])
         if handler is None:
             raise RuntimeError(
-                f"packet to node {packet.destination} but nothing is attached there"
+                f"packet to node {key[1]} but nothing is attached there"
             )
-        completion = self.delivery_time(packet)
+        path = self._paths[key] = (self.route(*key), handler)
+        return path
+
+    def send(self, packet: Packet) -> int:
+        """Inject ``packet``; schedule delivery; return the completion cycle."""
+        key = (packet.source, packet.destination)
+        path = self._paths.get(key)
+        if path is None:
+            path = self._compile_send(key)
+        links, handler = path
+        sim = self.sim
+        size = packet.size_bytes
+        # The body of delivery_time, inlined: this runs once per packet.
+        completion = reserve_path(
+            links, sim.now, self.hop_cycles,
+            -(-(size + PACKET_HEADER_BYTES) // self.bytes_per_cycle))
         self.packets_injected += 1
-        self.bytes_injected += packet.size_bytes
+        self.bytes_injected += size
         verdict = "deliver"
         if self.fault_plan is not None:
             # The fault verdict comes first: delivered-traffic counters
-            # and the trace must record the packet's actual fate, not
+            # and the observer must record the packet's actual fate, not
             # the pre-fault plan.
-            verdict, extra = self.fault_plan.judge(packet, self.sim.now, self)
+            verdict, extra = self.fault_plan.judge(packet, sim.now, self)
             if verdict == "drop":
                 # The packet burned its path reservations, then vanished;
                 # the sender still observes the nominal completion time.
                 self.packets_lost += 1
-                if self.tracer is not None:
-                    self.tracer.log(
-                        packet.kind,
-                        f"{packet.source}->{packet.destination} "
-                        f"{packet.size_bytes}B DROPPED",
-                    )
-                if self.sim.obs is not None:
+                if sim.obs is not None:
                     self._observe_packet(packet, completion, verdict)
                 return completion
             if verdict == "corrupt":
@@ -178,17 +184,11 @@ class Network:
                 self.packets_delayed += 1
                 completion += extra
         self.packets_sent += 1
-        self.bytes_sent += packet.size_bytes
-        if self.tracer is not None:
-            self.tracer.log(
-                packet.kind,
-                f"{packet.source}->{packet.destination} "
-                f"{packet.size_bytes}B eta={completion}",
-            )
-        if self.sim.obs is not None:
+        self.bytes_sent += size
+        if sim.obs is not None:
             self._observe_packet(packet, completion, verdict)
         if self.shards is None:
-            self.sim.schedule(completion - self.sim.now, handler, packet)
+            sim.schedule(completion - sim.now, handler, packet)
         else:
             # The cross-shard seam: deliveries land in the queue of the
             # destination node's shard (counted when crossing a boundary).
@@ -229,10 +229,9 @@ class Network:
 
     def _uncontended_completion(self, packet: Packet, now: int) -> int:
         """When the packet would complete on an idle path (no queueing)."""
-        wire_bytes = packet.size_bytes + PACKET_HEADER_BYTES
         hops = len(self.route(packet.source, packet.destination))
-        serialization = -(-wire_bytes // self.bytes_per_cycle)
-        return now + hops * self.hop_cycles + max(serialization, 1)
+        return now + hops * self.hop_cycles + self._wire_cycles(
+            packet.size_bytes)
 
     def transfer(self, packet: Packet, tag: str | None = None):
         """An event that triggers when ``packet`` has been delivered.

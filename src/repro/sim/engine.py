@@ -29,6 +29,9 @@ from repro.sim.events import Event
 from repro.sim.ledger import TimeLedger
 from repro.sim.process import Process
 
+#: the ``until`` of an unbounded run: later than any cycle.
+_NO_LIMIT = float("inf")
+
 
 def _as_cycles(value, what: str) -> int:
     """Coerce ``value`` to an integer cycle count.
@@ -84,14 +87,14 @@ class Simulator:
         """
         if type(delay) is not int:
             delay = _as_cycles(delay, "delay")
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        if delay == 0:
-            entry = [callback, argument]
-            self._bucket.append(entry)
-        else:
+        if delay > 0:  # the common case first: one test, then the heap
             entry = [self.now + delay, next(self._sequence), callback, argument]
             heapq.heappush(self._heap, entry)
+            return entry
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        entry = [callback, argument]
+        self._bucket.append(entry)
         return entry
 
     def call_soon(self, callback, argument: object = None) -> list:
@@ -219,67 +222,76 @@ class Simulator:
     def run(self, until: int | None = None, until_event: Event | None = None) -> None:
         """Run until the queue drains, ``until`` cycles pass, or an event fires.
 
-        ``until`` is an absolute cycle count; events scheduled exactly at
-        ``until`` still fire.  When ``until_event`` is given, execution
-        stops right after the event triggers.
+        ``until`` is an absolute cycle count (not before :attr:`now`);
+        events scheduled exactly at ``until`` still fire.  When
+        ``until_event`` is given, execution stops right after the event
+        triggers.
         """
+        if until is not None:
+            if type(until) is not int:
+                until = _as_cycles(until, "until")
+            if until < self.now:
+                raise ValueError(
+                    f"cannot run back into the past (until={until}, "
+                    f"now={self.now})"
+                )
+            limit = until
+        else:
+            limit = _NO_LIMIT
+        if until_event is not None and until_event._state:
+            return
+        # One loop for every stop condition: drain the bucket, then move
+        # the clock inline (the body of ``_advance``).  ``until`` can
+        # only stop the run at a clock advance, ``until_event`` only
+        # right after a callback, so each is checked only there.
         bucket = self._bucket
-        if until is None and until_event is None:
-            # Fast drain loop: no bound checks on the hot path.
-            while True:
+        heap = self._heap
+        heappop = heapq.heappop
+        while True:
+            if until_event is None:
                 while bucket:
                     entry = bucket.popleft()
                     callback = entry[-2]
                     if callback is None:
                         self._cancelled -= 1
-                    else:
-                        entry[-2] = None
-                        callback(entry[-1])
-                if not self._advance():
+                        continue
+                    # Blank the entry before running it (see step()).
+                    entry[-2] = None
+                    callback(entry[-1])
+            else:
+                while bucket:
+                    entry = bucket.popleft()
+                    callback = entry[-2]
+                    if callback is None:
+                        self._cancelled -= 1
+                        continue
+                    entry[-2] = None
+                    callback(entry[-1])
+                    # ``_state`` is non-zero once triggered.
+                    if until_event._state:
+                        return
+            while heap:
+                entry = heap[0]
+                if entry[2] is None:
+                    heappop(heap)
+                    self._cancelled -= 1
+                    continue
+                when = entry[0]
+                if when > limit:
+                    self.now = limit
                     return
-        # Bounded loop: drain the bucket in bursts, checking the stop
-        # conditions only where they can change — ``until`` gates heap
-        # advancement, ``until_event`` can only trigger from inside a
-        # callback.
-        heap = self._heap
-        if until_event is not None and until_event.triggered:
-            return
-        while True:
-            if bucket:
-                if until_event is None:
-                    while bucket:
-                        entry = bucket.popleft()
-                        callback = entry[-2]
-                        if callback is None:
-                            self._cancelled -= 1
-                        else:
-                            entry[-2] = None
-                            callback(entry[-1])
-                else:
-                    while bucket:
-                        entry = bucket.popleft()
-                        callback = entry[-2]
-                        if callback is None:
-                            self._cancelled -= 1
-                            continue
-                        entry[-2] = None
-                        callback(entry[-1])
-                        # ``_state`` is non-zero once triggered; read
-                        # directly, as this runs once per callback.
-                        if until_event._state:
-                            return
-                continue
-            while heap and heap[0][2] is None:
-                heapq.heappop(heap)
-                self._cancelled -= 1
-            if not heap:
+                heappop(heap)
+                self.now = when
+                # Entries move as-is so outstanding cancel handles stay
+                # live; callbacks sit at [-2] in both entry shapes.
+                bucket.append(entry)
+                while heap and heap[0][0] == when:
+                    bucket.append(heappop(heap))
                 break
-            if until is not None and heap[0][0] > until:
-                self.now = until
+            else:
+                if until is not None and self.now < until:
+                    self.now = until
                 return
-            self._advance()
-        if until is not None and self.now < until:
-            self.now = until
 
     def run_process(self, generator, name: str = "main", limit: int | None = None):
         """Start a process, run the simulation to its completion, and

@@ -60,11 +60,17 @@ class Event:
 
     def succeed(self, value: object = None) -> "Event":
         """Trigger the event successfully, waking all waiters."""
-        if self.triggered:
+        if self._state:
             raise RuntimeError(f"event {self.name!r} triggered twice")
         self._state = Event._SUCCEEDED
         self._value = value
-        self._dispatch()
+        # _dispatch, inlined: succeeding is the hottest trigger path.
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            bucket = self.sim._bucket
+            for callback in callbacks:
+                bucket.append([callback, self])
         return self
 
     def fail(self, exception: BaseException) -> "Event":

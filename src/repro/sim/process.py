@@ -48,11 +48,35 @@ class Process:
         self._advance(self.generator.send, None)
 
     def _wake(self, event: Event) -> None:
+        """Resume on ``event``'s outcome and block on the next yield.
+
+        ``_advance`` and ``_block_on`` fused: this runs once per
+        resumption.  A wake for any event but the awaited one is stale
+        — the event queued it before an :meth:`interrupt` took over the
+        process — and is ignored, so the interrupt wins.
+        """
+        if event is not self._waiting_on:
+            return
         self._waiting_on = None
-        if event._state == _SUCCEEDED:
-            self._advance(self.generator.send, event._value)
+        try:
+            if event._state == _SUCCEEDED:
+                target = self.generator.send(event._value)
+            else:
+                target = self.generator.throw(event._value)
+        except StopIteration as stop:
+            self.done.succeed(stop.value)
+            return
+        except BaseException as exc:
+            self.done.fail(exc)
+            return
+        if type(target) is Event:
+            self._waiting_on = target
+            if target._state:
+                self.sim._bucket.append([self._wake, target])
+            else:
+                target._callbacks.append(self._wake)
         else:
-            self._advance(self.generator.throw, event._value)
+            self._block_on(target)
 
     def _advance(self, resume, value) -> None:
         """Resume the generator (``resume`` is its ``send`` or ``throw``)

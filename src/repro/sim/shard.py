@@ -370,8 +370,14 @@ class ShardedSimulator:
         and leaves the clock there; ``until_event`` stops right after
         the event triggers.
         """
-        if until is not None and type(until) is not int:
-            until = _as_cycles(until, "until")
+        if until is not None:
+            if type(until) is not int:
+                until = _as_cycles(until, "until")
+            if until < self.now:
+                raise ValueError(
+                    f"cannot run back into the past (until={until}, "
+                    f"now={self.now})"
+                )
         if until_event is not None and until_event.triggered:
             return
         control = self._control

@@ -1,4 +1,4 @@
-"""System introspection and NoC tracing."""
+"""System introspection and NoC packet spans."""
 
 from repro.eval import stats
 from repro.m3.lib.file import OpenFlags
@@ -42,18 +42,25 @@ def test_report_renders_tables():
     assert "m3fs" in text
 
 
-def test_noc_tracing_records_packets():
-    system = M3System(pe_count=3)
-    tracer = system.platform.network.enable_tracing()
+def test_observer_records_packets_as_noc_spans():
+    system = M3System(pe_count=3, observe=True)
     system.boot(with_fs=False)
+    boot_kinds = {span.name for span in system.obs.spans
+                  if span.category == "noc"}
+    assert "ep_config" in boot_kinds  # boot-time endpoint configuration
 
     def app(env):
         yield from env.syscall("noop")
         return ()
 
+    before = len(system.obs.spans)
     system.run_app(app)
-    kinds = {record.category for record in tracer.records}
-    assert "message" in kinds  # the syscall message
-    assert "ep_config" in kinds  # boot-time downgrades
-    rendered = tracer.render()
-    assert "->" in rendered
+    packets = [span for span in system.obs.spans[before:]
+               if span.category == "noc"]
+    kernel_node = system.kernels[0].node
+    # The syscall message travels from the app's PE to the kernel.
+    assert any(span.name == "message"
+               and span.args["destination"] == kernel_node
+               and span.node != kernel_node
+               and span.end > span.begin
+               for span in packets)

@@ -111,8 +111,9 @@ def test_busy_within_merges_contiguous_windows():
 def test_occupancy_record_is_packed():
     # Deterministic memory gate: every window is disjoint from the last
     # (nothing merges), so the record holds one entry per reservation.
-    # Boxed ints in lists cost ~105 bytes per window; the packed
-    # columns must stay within 40 bytes however long a run gets.
+    # Boxed ints in lists cost ~105 bytes per window and three packed
+    # columns 24; the one-word record must stay within 12 bytes
+    # however long a run gets.
     import tracemalloc
 
     windows = 100_000
@@ -127,4 +128,22 @@ def test_occupancy_record_is_packed():
         tracemalloc.stop()
     assert link.packets == windows and link.busy_cycles == windows
     assert link.busy_within(2 * windows) == windows
-    assert (after - before) / windows <= 40
+    assert (after - before) / windows <= 12
+
+
+def test_long_window_is_recorded_in_exact_chunks():
+    from repro.noc.link import DURATION_MASK
+
+    link = Link(0, 1, bytes_per_cycle=1)
+    duration = 2 * DURATION_MASK + 7
+    link.reserve(0, 10)                      # [0, 10)
+    start, end = link.reserve(15, duration)  # spans three record words
+    link.reserve(0, 10)                      # back-to-back behind it
+    assert (start, end) == (15, 15 + duration)
+    assert link.packets == 3 and link.busy_cycles == duration + 20
+    for t in (15, 16, 15 + DURATION_MASK - 1, 15 + DURATION_MASK,
+              15 + DURATION_MASK + 1, 15 + 2 * DURATION_MASK, end - 1):
+        assert link.busy_within(t) == 10 + (t - 15)
+    assert link.busy_within(end) == 10 + duration
+    assert link.busy_within(end + 5) == 15 + duration
+    assert link.busy_within(end + 50) == 20 + duration

@@ -5,7 +5,8 @@ one loop over packed occupancy records.  The reference below is the
 plain per-hop model it replaces: a link with list-backed merged windows,
 reserved hop by hop through a ``(source, destination)`` link-key lookup.
 Any stream of packets must produce identical completions, per-link
-counters and exact ``busy_within`` answers in both.
+counters and exact ``busy_within`` answers in both — including packets
+whose wire time does not fit one record word and is stored in chunks.
 """
 
 import bisect
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.noc import Link, MeshTopology, Network, Packet, XYRouter, YXRouter
+from repro.noc.link import DURATION_MASK
 from repro.noc.network import PACKET_HEADER_BYTES
 from repro.sim import Simulator
 
@@ -27,6 +29,8 @@ class RefLink:
         self.busy_cycles = 0
         self.packets = 0
         self.starts, self.ends, self.cum = [], [], []
+        #: every granted (start, end), unmerged.
+        self.reservations = []
 
     def reserve(self, earliest, nbytes):
         duration = max(-(-nbytes // self.bytes_per_cycle), 1)
@@ -35,6 +39,7 @@ class RefLink:
         self.next_free = end
         self.busy_cycles += duration
         self.packets += 1
+        self.reservations.append((start, end))
         if self.ends and self.ends[-1] == start:
             self.ends[-1] = end
             self.cum[-1] += duration
@@ -78,12 +83,30 @@ class RefNetwork:
         return completion
 
 
+#: wire times around the record's chunk boundary, and several chunks.
+_long_cycles = st.one_of(
+    st.integers(min_value=DURATION_MASK - 2, max_value=DURATION_MASK + 2),
+    st.integers(min_value=1, max_value=3 * DURATION_MASK + 3),
+)
+
 _packet = st.tuples(
     st.integers(min_value=0, max_value=40),    # cycles since the last packet
     st.integers(min_value=0, max_value=8),     # source
     st.integers(min_value=0, max_value=8),     # destination (== source: loopback)
     st.integers(min_value=0, max_value=600),   # payload bytes
+    # or, now and then, a payload sized to this many wire cycles
+    st.one_of(st.none(), st.none(), st.none(), _long_cycles),
 )
+
+
+def _edges(ref):
+    """Cycles inside, at and past every window edge and chunk seam."""
+    edges = set()
+    for start, end in ref.reservations:
+        for t in range(start, end, DURATION_MASK):
+            edges.update((t - 1, t, t + 1))
+        edges.update((end - 1, end, end + 1))
+    return edges
 
 
 @settings(max_examples=150, deadline=None,
@@ -104,7 +127,9 @@ def test_path_reservation_matches_hop_by_hop(packets, yx, hop_cycles,
                   bytes_per_cycle=bytes_per_cycle, router=router)
     ref = RefNetwork(topology, router, hop_cycles, bytes_per_cycle)
 
-    for gap, source, destination, size in packets:
+    for gap, source, destination, size, cycles in packets:
+        if cycles is not None:
+            size = max(cycles * bytes_per_cycle - PACKET_HEADER_BYTES, 0)
         sim.run(until=sim.now + gap)
         got = net.delivery_time(Packet(source, destination, "message", size))
         want = ref.delivery_time(sim.now, source, destination, size)
@@ -116,20 +141,22 @@ def test_path_reservation_matches_hop_by_hop(packets, yx, hop_cycles,
         link = net.link(*key)
         assert (link.next_free, link.busy_cycles, link.packets) == (
             want.next_free, want.busy_cycles, want.packets)
-        edges = {t + d for t in want.starts + want.ends for d in (-1, 0, 1)}
-        for t in sorted(edges.union(probes, {want.next_free + 100})):
+        for t in sorted(_edges(want).union(probes, {want.next_free + 100})):
             assert link.busy_within(t) == want.busy_within(t)
 
 
 @given(st.lists(st.tuples(st.integers(min_value=-20, max_value=500),
-                          st.integers(min_value=0, max_value=300)),
+                          st.integers(min_value=0, max_value=300),
+                          st.one_of(st.none(), _long_cycles)),
                 min_size=1, max_size=60),
        st.lists(st.integers(min_value=-5, max_value=2000), max_size=12))
 def test_link_reserve_is_the_one_hop_case(requests, probes):
     link, ref = Link(0, 1, bytes_per_cycle=8), RefLink(8)
-    for earliest, nbytes in requests:
+    for earliest, nbytes, cycles in requests:
+        if cycles is not None:
+            nbytes = 8 * cycles
         assert link.reserve(earliest, nbytes) == ref.reserve(earliest, nbytes)
     assert (link.next_free, link.busy_cycles, link.packets) == (
         ref.next_free, ref.busy_cycles, ref.packets)
-    for t in set(probes) | {ref.next_free, ref.next_free + 1}:
+    for t in _edges(ref) | set(probes) | {ref.next_free + 1}:
         assert link.busy_within(t) == ref.busy_within(t)

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+from collections import deque
+
 import pytest
 
 from repro.sim import Simulator
@@ -198,3 +200,80 @@ def test_run_until_same_limit_twice_is_a_no_op():
     sim.run(until=30)
     assert sim.now == 30
     assert sim.pending_events == 1
+
+
+def test_run_until_in_the_past_is_rejected():
+    # Regression: the clock used to rewind to ``until``, so a timer set
+    # after run(until=50) fired at cycle 60, after cycle 150 had run.
+    sim = Simulator()
+    seen = []
+    sim.schedule(100, lambda _: seen.append(sim.now))
+    sim.schedule(300, lambda _: seen.append(sim.now))
+    sim.run(until=150)
+    with pytest.raises(ValueError):
+        sim.run(until=50)
+    assert sim.now == 150
+    sim.schedule(10, lambda _: seen.append(sim.now))
+    sim.run()
+    assert seen == [100, 160, 300]
+
+
+class CountingBucket(deque):
+    """A ready queue recording every live callback it hands out, the
+    way a host benchmark counts executed events."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.handed_out = []
+
+    def popleft(self):
+        entry = super().popleft()
+        if entry[-2] is not None:
+            self.handed_out.append(entry[-2])
+        return entry
+
+
+def test_every_executed_callback_leaves_through_the_bucket():
+    sim = Simulator()
+    sim._bucket = bucket = CountingBucket()
+    ran = []
+
+    def callback(name):
+        def run(_):
+            ran.append(run)
+            if name == "a":
+                sim.call_soon(callback("soon"))
+        return run
+
+    sim.schedule(10, callback("a"))
+    sim.schedule(10, callback("b"))
+    sim.cancel(sim.schedule(10, callback("cancelled-heap")))
+    sim.cancel(sim.call_soon(callback("cancelled-bucket")))
+    sim.call_soon(callback("now"))
+    sim.schedule(40, callback("late"))
+    sim.schedule(90, callback("last"))
+    sim.run(until=20)
+    assert sim.now == 20 and len(ran) == 4
+    sim.run(until=40)
+    assert len(ran) == 5
+    sim.run()
+    assert sim.now == 90
+    assert bucket.handed_out == ran and len(ran) == 6
+    assert sim.pending_events == 0
+
+
+def test_run_until_event_stops_right_after_the_trigger():
+    sim = Simulator()
+    done = sim.event("done")
+    seen = []
+    sim.schedule(10, lambda _: seen.append("before"))
+    sim.schedule(10, lambda _: (seen.append("trigger"), done.succeed()))
+    sim.schedule(10, lambda _: seen.append("same cycle"))
+    sim.schedule(20, lambda _: seen.append("later"))
+    sim.run(until_event=done)
+    assert seen == ["before", "trigger"] and sim.now == 10
+    assert sim.pending_events == 2  # the same-cycle callback stays queued
+    sim.run(until_event=done)  # already triggered: runs nothing
+    assert seen == ["before", "trigger"]
+    sim.run()
+    assert seen == ["before", "trigger", "same cycle", "later"]

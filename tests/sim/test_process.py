@@ -149,3 +149,34 @@ def test_interrupt_finished_process_is_noop():
     sim.run()
     proc.interrupt()  # must not raise
     assert not proc.alive
+
+
+def test_interrupt_in_the_cycle_the_awaited_event_triggers():
+    # Regression: the event had already queued the wake-up, which then
+    # resumed the generator with the event's value before the
+    # Interrupt was thrown at its next yield; the process later woke
+    # again at the wrong yield and its done event triggered twice.
+    sim = Simulator()
+    event = sim.event("awaited")
+    log = []
+
+    def worker():
+        try:
+            value = yield event
+            log.append(("woke", value))
+        except Interrupt as intr:
+            log.append(("interrupted", intr.cause))
+        yield 10
+        log.append(("after", sim.now))
+        return log
+
+    proc = sim.process(worker(), "worker")
+
+    def trigger_then_interrupt(_):
+        event.succeed("value")
+        proc.interrupt("cause")
+
+    sim.schedule(5, trigger_then_interrupt)
+    sim.run()
+    assert proc.done.ok
+    assert proc.done.value == [("interrupted", "cause"), ("after", 15)]

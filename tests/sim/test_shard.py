@@ -151,6 +151,16 @@ def test_exact_mode_until_event_stops_identically():
             assert (sim.now, log[-1]) == expected
 
 
+def test_run_until_in_the_past_is_rejected_at_any_shard_count():
+    for make in (Simulator, lambda: ShardedSimulator(_plan(2))):
+        sim = make()
+        sim.schedule(100, lambda _: None)
+        sim.run(until=150)
+        with pytest.raises(ValueError):
+            sim.run(until=50)
+        assert sim.now == 150
+
+
 def test_exact_mode_cancel_accounting():
     """Facade cancels blank entries across members; the summed count
     stays exact through pops on either member."""
